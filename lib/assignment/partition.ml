@@ -54,51 +54,81 @@ let components g =
   |> List.sort (fun (r1, _) (r2, _) -> Int.compare r1 r2)
   |> List.map snd
 
-let empty_solution : Murty.solution = { pairs = []; score = 0.0 }
-
 let pair_compare (i1, j1) (i2, j2) =
   match Int.compare i1 i2 with
   | 0 -> Int.compare j1 j2
   | c -> c
 
-let merge ~h xs ys =
+type level = {
+  sc : float array;
+  ix : int array;
+  iy : int array;
+}
+
+(* The heap merge on scores alone: per merged entry, its score and the
+   indices of the two entries it sums. Tie order is the contract (see
+   [merge] in the interface), so the heap, the [seen] set, the push order
+   and the [xa.(x) +. ya.(y)] sums must stay as they are. *)
+let merge_scores ~h xa ya =
   Obs.incr c_merges;
-  match (xs, ys) with
-  | [], _ | _, [] -> []
-  | _ ->
-    let xa = Array.of_list xs and ya = Array.of_list ys in
-    let nx = Array.length xa and ny = Array.length ya in
-    let heap = Uxsm_util.Fheap.create () in
-    let seen = Hashtbl.create 64 in
-    let push ix iy =
-      if ix < nx && iy < ny && not (Hashtbl.mem seen (ix, iy)) then begin
-        Hashtbl.add seen (ix, iy) ();
-        let s = xa.(ix).Murty.score +. ya.(iy).Murty.score in
-        Uxsm_util.Fheap.push heap (-.s) (ix, iy)
-      end
-    in
-    push 0 0;
-    let out = ref [] in
-    let count = ref 0 in
-    let rec drain () =
-      if !count < h then
-        match Uxsm_util.Fheap.pop heap with
-        | None -> ()
-        | Some (neg_s, (ix, iy)) ->
-          let combined : Murty.solution =
-            {
-              pairs = List.merge pair_compare xa.(ix).Murty.pairs ya.(iy).Murty.pairs;
-              score = -.neg_s;
-            }
-          in
-          out := combined :: !out;
-          incr count;
-          push (ix + 1) iy;
-          push ix (iy + 1);
-          drain ()
-    in
-    drain ();
-    List.rev !out
+  let nx = Array.length xa and ny = Array.length ya in
+  let n = max 0 (min h (nx * ny)) in
+  let sc = Array.make n 0.0 and ix = Array.make n 0 and iy = Array.make n 0 in
+  let heap = Uxsm_util.Fheap.create () in
+  let seen = Hashtbl.create 64 in
+  let push x y =
+    if x < nx && y < ny && not (Hashtbl.mem seen (x, y)) then begin
+      Hashtbl.add seen (x, y) ();
+      Uxsm_util.Fheap.push heap (-.(xa.(x) +. ya.(y))) (x, y)
+    end
+  in
+  push 0 0;
+  for k = 0 to n - 1 do
+    match Uxsm_util.Fheap.pop heap with
+    | None -> assert false
+    | Some (neg_s, (x, y)) ->
+      sc.(k) <- -.neg_s;
+      ix.(k) <- x;
+      iy.(k) <- y;
+      push (x + 1) y;
+      push x (y + 1)
+  done;
+  { sc; ix; iy }
+
+let scores sols = Array.of_list (List.map (fun (s : Murty.solution) -> s.score) sols)
+
+let merge ~h xs ys =
+  let lv = merge_scores ~h (scores xs) (scores ys) in
+  let xa = Array.of_list xs and ya = Array.of_list ys in
+  List.init (Array.length lv.sc) (fun k ->
+      {
+        Murty.pairs = List.merge pair_compare xa.(lv.ix.(k)).pairs ya.(lv.iy.(k)).pairs;
+        score = lv.sc.(k);
+      })
+
+let empty_solution : Murty.solution = { pairs = []; score = 0.0 }
+
+(* Pair lists for the final top-h only: walk each solution's back-pointers
+   down the levels (one per local list, shallowest first), gather the
+   chosen local pairs and sort them once. Components are disjoint and
+   every local list is sorted by [pair_compare], so this equals the chain
+   of [List.merge]s a list fold would build. *)
+let materialize levels locals =
+  let levels = Array.of_list levels in
+  let locals = Array.of_list (List.map Array.of_list locals) in
+  let n = Array.length levels in
+  if n = 0 then [ empty_solution ]
+  else
+    let final = levels.(n - 1) in
+    List.init (Array.length final.sc) (fun k ->
+        let pairs = ref [] and at = ref k in
+        for i = n - 1 downto 0 do
+          let l = levels.(i) in
+          let local : Murty.solution = locals.(i).(l.iy.(!at)) in
+          pairs := List.rev_append local.pairs !pairs;
+          at := l.ix.(!at)
+        done;
+        { Murty.pairs = List.sort pair_compare !pairs; score = final.sc.(k) })
 
 (* The reusable per-component state. Plain data throughout — no closures —
    so the catalog can own one per cached mapping set and a future session
@@ -110,12 +140,13 @@ type ranked = {
   rk_order : [ `Index | `Degree ] option;
   rk_graph : Bipartite.t;
   rk_locals : ((int * int * float) list * Murty.solution list) list;
-  rk_prefixes : Murty.solution list list;
-      (* rk_prefixes nth i = the merge fold over locals 0..i, so the last
-         prefix is rk_merged. The fold is left-associative and
-         order-sensitive, so a delta confined to component k can replay
-         prefix k-1 verbatim and re-merge only the suffix from k on. *)
-  rk_merged : Murty.solution list;
+  rk_levels : level list;
+      (* rk_levels nth i = the merge fold over locals 0..i as scores and
+         back-pointers: entry k of level i combines entry [ix.(k)] of level
+         i-1 (of the empty start solution when i = 0) with local solution
+         [iy.(k)] of component i. The fold is left-associative and
+         order-sensitive, so a delta confined to component k keeps levels
+         0..k-1 verbatim and re-merges only the suffix from k on. *)
 }
 
 type delta = {
@@ -178,31 +209,29 @@ let rank_components ~exec ~order ~h ~cache ~reuse g =
      whose keys match [reuse] position by position replays exactly — a
      cache hit on the same key yields the identical local list, hence the
      identical merge step. Resume the fold from the last surviving
-     prefix. *)
-  let old_locals, old_prefixes = reuse in
-  let rec survive kept olds oldps news =
-    match (olds, oldps, news) with
-    | (ok, _) :: olds', p :: oldps', (nk, _) :: news' when ok = nk ->
-      survive (p :: kept) olds' oldps' news'
+     level. *)
+  let old_locals, old_levels = reuse in
+  let rec survive kept olds oldls news =
+    match (olds, oldls, news) with
+    | (ok, _) :: olds', l :: oldls', (nk, _) :: news' when ok = nk ->
+      survive (l :: kept) olds' oldls' news'
     | _ -> (kept, news)
   in
-  let kept_rev, rest = survive [] old_locals old_prefixes locals in
-  let start = match kept_rev with [] -> [ empty_solution ] | p :: _ -> p in
-  let rec refold acc prefixes = function
-    | [] -> prefixes
-    | (_, local) :: tl ->
-      let acc' = merge ~h acc local in
-      refold acc' (acc' :: prefixes) tl
+  let kept_rev, rest = survive [] old_locals old_levels locals in
+  let levels_rev =
+    List.fold_left
+      (fun levels (_, local) ->
+        let prev = match levels with [] -> [| 0.0 |] | l :: _ -> l.sc in
+        merge_scores ~h prev (scores local) :: levels)
+      kept_rev rest
   in
-  let prefixes_rev = refold start kept_rev rest in
-  let merged = match prefixes_rev with [] -> [ empty_solution ] | m :: _ -> m in
-  (locals, List.rev prefixes_rev, merged, List.length misses)
+  (locals, List.rev levels_rev, List.length misses)
 
 let rank ?(exec = Uxsm_exec.Executor.sequential) ?order ~h g =
   if h <= 0 then invalid_arg "Partition.rank: h must be >= 1";
   Obs.time s_top @@ fun () ->
   let no_reuse = Hashtbl.create 1 in
-  let locals, prefixes, merged, _ =
+  let locals, levels, _ =
     rank_components ~exec ~order ~h ~cache:no_reuse ~reuse:([], []) g
   in
   {
@@ -210,11 +239,10 @@ let rank ?(exec = Uxsm_exec.Executor.sequential) ?order ~h g =
     rk_order = order;
     rk_graph = g;
     rk_locals = locals;
-    rk_prefixes = prefixes;
-    rk_merged = merged;
+    rk_levels = levels;
   }
 
-let solutions r = r.rk_merged
+let solutions r = materialize r.rk_levels (List.map snd r.rk_locals)
 let graph r = r.rk_graph
 let ranked_h r = r.rk_h
 let ranked_components r = List.length r.rk_locals
@@ -256,10 +284,10 @@ let apply_delta ?(exec = Uxsm_exec.Executor.sequential) d r =
   let g = Bipartite.create ~n_left:d.d_n_left ~n_right:d.d_n_right edges in
   let cache = Hashtbl.create (List.length r.rk_locals) in
   List.iter (fun (key, local) -> Hashtbl.replace cache key local) r.rk_locals;
-  let locals, prefixes, merged, reranked =
+  let locals, levels, reranked =
     rank_components ~exec ~order:r.rk_order ~h:r.rk_h ~cache
-      ~reuse:(r.rk_locals, r.rk_prefixes) g
+      ~reuse:(r.rk_locals, r.rk_levels) g
   in
   Obs.add c_components_reranked reranked;
   Obs.add c_components_reused (List.length locals - reranked);
-  { r with rk_graph = g; rk_locals = locals; rk_prefixes = prefixes; rk_merged = merged }
+  { r with rk_graph = g; rk_locals = locals; rk_levels = levels }

@@ -20,8 +20,14 @@ val components : Bipartite.t -> component list
 
 val merge : h:int -> Murty.solution list -> Murty.solution list -> Murty.solution list
 (** [merge ~h xs ys] — top-h combinations (concatenated pairs, summed
-    scores) of two non-increasing solution lists, non-increasing. Exposed
-    for testing. *)
+    scores) of two non-increasing solution lists, non-increasing. A thin
+    wrapper over the score-only heap merge {!rank} folds with, so there is
+    one merge code path. Tie order is part of the contract: on D7 all
+    top-200 scores tie, so which mappings are served is decided by the
+    heap, its [seen] set and the push order ([(ix + 1, iy)] before
+    [(ix, iy + 1)]). A k-way or lazy enumeration would return the same
+    scores in a different tie order, which is why neither is used.
+    Exposed for testing. *)
 
 val top :
   ?exec:Uxsm_exec.Executor.t ->
@@ -42,8 +48,12 @@ val top :
 
 type ranked
 (** Reusable ranking state: the graph, per-component Murty lists (keyed by
-    the component's ordered edge list) and the merged top-h. Plain data —
-    no closures — so a catalog can own one per cached mapping set. *)
+    the component's ordered edge list) and the left fold of the heap merge
+    over them as one {e level} per component: per merged entry, its score
+    and the indices of the prefix entry and local solution it combines.
+    No fold step builds pair lists; {!solutions} builds them for the final
+    top-h only. Plain data — no closures — so a catalog can own one per
+    cached mapping set. *)
 
 type delta = {
   d_set : (int * int * float) list;
@@ -64,7 +74,10 @@ val rank :
     Raises [Invalid_argument] when [h <= 0]. *)
 
 val solutions : ranked -> Murty.solution list
-(** The merged global top-h, non-increasing. *)
+(** The merged global top-h, non-increasing. Builds the pair lists on each
+    call (walking each solution's back-pointers down the levels and
+    sorting the gathered local pairs once), so take it once per ranking;
+    the state itself keeps no merged list. *)
 
 val graph : ranked -> Bipartite.t
 (** The graph this state ranks. *)
@@ -84,9 +97,10 @@ val apply_delta : ?exec:Uxsm_exec.Executor.t -> delta -> ranked -> ranked
     recompute the component index, re-rank {e only} components whose edge
     list changed (cached lists cover the rest — membership, order and
     weights all equal means the cached ranking is exactly a fresh one),
-    and resume the heap merge from the deepest cached prefix: the fold
-    is left-associative, so a delta confined to component [k] replays
-    prefixes [0..k-1] verbatim and re-merges only from [k] on. Bumps
+    and resume the heap merge from the deepest surviving level: the fold
+    is left-associative, so a delta confined to component [k] keeps
+    levels [0..k-1] verbatim, re-merges only from [k] on, then
+    materializes the final top-h's pair lists. Bumps
     [partition.components_reranked] / [partition.components_reused];
     re-ranked components run on [exec] with a [~cost_hint] covering only
     the miss work. The result equals [rank ~h] of the patched graph (a

@@ -40,23 +40,41 @@ let brute_force_solutions g =
 
 let brute_force_scores g = List.map fst (brute_force_solutions g)
 
-(* Random sparse bipartite graphs with dyadic weights. *)
-let gen_graph =
+(* Edge weights: [dyadic_weight] spreads over 1/4..4; [tied_weight] draws
+   from {0.5, 1.0} only, so most combinations tie. *)
+let dyadic_weight = QCheck.Gen.map (fun k -> float_of_int k /. 4.0) (QCheck.Gen.int_range 1 16)
+let tied_weight = QCheck.Gen.oneofl [ 0.5; 1.0 ]
+
+(* Random bipartite graphs: up to [max_side] nodes a side, each pair an
+   edge with probability 1/[sparsity]. *)
+let gen_graph_of ~max_side ~sparsity ~weight =
   let open QCheck.Gen in
-  let* nl = int_range 1 5 in
-  let* nr = int_range 1 5 in
+  let* nl = int_range 1 max_side in
+  let* nr = int_range 1 max_side in
   let all_pairs = List.concat_map (fun i -> List.init nr (fun j -> (i, j))) (List.init nl Fun.id) in
-  let* kept = flatten_l (List.map (fun p -> map (fun b -> (p, b)) bool) all_pairs) in
+  let* kept =
+    flatten_l (List.map (fun p -> map (fun k -> (p, k = 0)) (int_bound (sparsity - 1))) all_pairs)
+  in
   let chosen = List.filter_map (fun (p, b) -> if b then Some p else None) kept in
-  let* weights = flatten_l (List.map (fun _ -> int_range 1 16) chosen) in
-  let edges = List.map2 (fun (i, j) k -> (i, j, float_of_int k /. 4.0)) chosen weights in
+  let* weights = flatten_l (List.map (fun _ -> weight) chosen) in
+  let edges = List.map2 (fun (i, j) w -> (i, j, w)) chosen weights in
   return (Bipartite.create ~n_left:nl ~n_right:nr edges)
 
-let arb_graph =
-  QCheck.make gen_graph ~print:(fun g ->
-      Printf.sprintf "nl=%d nr=%d edges=[%s]" (Bipartite.n_left g) (Bipartite.n_right g)
-        (String.concat "; "
-           (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g))))
+(* Random sparse bipartite graphs with dyadic weights. *)
+let gen_graph = gen_graph_of ~max_side:5 ~sparsity:2 ~weight:dyadic_weight
+
+(* Tie-heavy graphs: several small components whose {0.5, 1.0} weights make
+   most combinations tie, so the top-h cut falls inside a tie and tie order
+   alone decides which solutions survive — as on D7, where all top-200
+   scores are equal. *)
+let gen_tied_graph = gen_graph_of ~max_side:7 ~sparsity:4 ~weight:tied_weight
+
+let print_graph g =
+  Printf.sprintf "nl=%d nr=%d edges=[%s]" (Bipartite.n_left g) (Bipartite.n_right g)
+    (String.concat "; "
+       (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g)))
+
+let arb_graph = QCheck.make gen_graph ~print:print_graph
 
 let valid_solution g (s : Murty.solution) =
   let lefts = List.map fst s.pairs and rights = List.map snd s.pairs in
@@ -149,11 +167,7 @@ let gen_graph_with_isolated =
   (* Nodes beyond the core are isolated by construction. *)
   return (Bipartite.create ~n_left:(nl_core + iso_l) ~n_right:(nr_core + iso_r) edges)
 
-let arb_graph_with_isolated =
-  QCheck.make gen_graph_with_isolated ~print:(fun g ->
-      Printf.sprintf "nl=%d nr=%d edges=[%s]" (Bipartite.n_left g) (Bipartite.n_right g)
-        (String.concat "; "
-           (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g))))
+let arb_graph_with_isolated = QCheck.make gen_graph_with_isolated ~print:print_graph
 
 let normalized_solutions sols =
   List.map (fun (s : Murty.solution) -> (s.score, List.sort pair_compare s.pairs)) sols
@@ -172,6 +186,78 @@ let prop_partition_differential =
   QCheck.Test.make ~count:300
     ~name:"differential: Partition.top = Murty.top (scores AND pair sets, isolated nodes)"
     arb_graph_with_isolated partition_equals_murty
+
+(* Tie-order differential: [Partition.rank] keeps the merge fold as score
+   levels and builds pair lists for the final top-h only, so it must return
+   exactly what the pair-list left fold returns — scores ([Float.equal]),
+   pairs and order, ties included. [list_merge] is a reference heap merge
+   over solution lists that merges pair lists at every step; the fold over
+   the exposed [Partition.merge] is checked against it too. Local lists
+   re-index each component compactly, as [Partition.rank] does. *)
+let list_merge ~h xs ys =
+  let xa = Array.of_list xs and ya = Array.of_list ys in
+  let nx = Array.length xa and ny = Array.length ya in
+  let heap = Uxsm_util.Fheap.create () in
+  let seen = Hashtbl.create 64 in
+  let push ix iy =
+    if ix < nx && iy < ny && not (Hashtbl.mem seen (ix, iy)) then begin
+      Hashtbl.add seen (ix, iy) ();
+      Uxsm_util.Fheap.push heap (-.(xa.(ix).Murty.score +. ya.(iy).Murty.score)) (ix, iy)
+    end
+  in
+  push 0 0;
+  let rec drain count acc =
+    if count = h then List.rev acc
+    else
+      match Uxsm_util.Fheap.pop heap with
+      | None -> List.rev acc
+      | Some (neg_s, (ix, iy)) ->
+        let s =
+          { Murty.pairs = List.merge pair_compare xa.(ix).pairs ya.(iy).pairs; score = -.neg_s }
+        in
+        push (ix + 1) iy;
+        push ix (iy + 1);
+        drain (count + 1) (s :: acc)
+  in
+  drain 0 []
+
+let local_solutions ~h (c : Partition.component) =
+  let index xs x =
+    let rec go k = function
+      | [] -> assert false
+      | y :: tl -> if y = x then k else go (k + 1) tl
+    in
+    go 0 xs
+  in
+  let l_back = Array.of_list c.lefts and r_back = Array.of_list c.rights in
+  let sub =
+    Bipartite.create ~n_left:(Array.length l_back) ~n_right:(Array.length r_back)
+      (List.map (fun (i, j, w) -> (index c.lefts i, index c.rights j, w)) c.edges)
+  in
+  List.map
+    (fun (s : Murty.solution) ->
+      { s with pairs = List.map (fun (i, j) -> (l_back.(i), r_back.(j))) s.pairs })
+    (Murty.top ~h sub)
+
+let fold_components merge ~h g =
+  List.fold_left
+    (fun acc c -> merge ~h acc (local_solutions ~h c))
+    [ { Murty.pairs = []; score = 0.0 } ]
+    (Partition.components g)
+
+let arb_tied_graph_and_h =
+  QCheck.make
+    QCheck.Gen.(pair gen_tied_graph (int_range 1 40))
+    ~print:(fun (g, h) -> Printf.sprintf "h=%d %s" h (print_graph g))
+
+let prop_rank_equals_list_fold =
+  QCheck.Test.make ~count:300
+    ~name:"Partition.rank = pair-list merge fold (tie-heavy, scores, pairs, order)"
+    arb_tied_graph_and_h (fun (g, h) ->
+      let reference = fold_components list_merge ~h g in
+      let same = List.equal Murty.solutions_equal reference in
+      same (Partition.solutions (Partition.rank ~h g))
+      && same (fold_components Partition.merge ~h g))
 
 let test_partition_differential_cases () =
   let check name g =
@@ -236,22 +322,19 @@ let test_create_validation () =
    invariant is exact equality with a from-scratch [rank] of the patched
    graph — scores, pair lists and order all included — because the catalog
    relies on incremental answers being byte-identical to rebuilt ones. *)
-let gen_graph_and_delta =
+let gen_delta_of ~graph ~weight =
   let open QCheck.Gen in
-  let* g = gen_graph in
+  let* g = graph in
   let edges = Bipartite.edges g in
   let* grow_l = int_range 0 2 in
   let* grow_r = int_range 0 2 in
   let nl' = Bipartite.n_left g + grow_l and nr' = Bipartite.n_right g + grow_r in
   (* 0 = keep, 1 = re-score, 2 = remove *)
   let* fates = flatten_l (List.map (fun e -> map (fun f -> (e, f)) (int_range 0 2)) edges) in
-  let* new_scores = flatten_l (List.map (fun _ -> int_range 1 16) fates) in
+  let* new_scores = flatten_l (List.map (fun _ -> weight) fates) in
   let set_existing =
     List.concat
-      (List.map2
-         (fun ((i, j, _), fate) k ->
-           if fate = 1 then [ (i, j, float_of_int k /. 4.0) ] else [])
-         fates new_scores)
+      (List.map2 (fun ((i, j, _), fate) w -> if fate = 1 then [ (i, j, w) ] else []) fates new_scores)
   in
   let removes =
     List.filter_map (fun ((i, j, _), fate) -> if fate = 2 then Some (i, j) else None) fates
@@ -263,8 +346,8 @@ let gen_graph_and_delta =
       (List.init n_new (fun _ ->
            let* i = int_range 0 (nl' - 1) in
            let* j = int_range 0 (nr' - 1) in
-           let* k = int_range 1 16 in
-           return (i, j, float_of_int k /. 4.0)))
+           let* w = weight in
+           return (i, j, w)))
   in
   let fresh =
     List.filter
@@ -277,17 +360,18 @@ let gen_graph_and_delta =
       { Partition.d_set = set_existing @ fresh; d_remove = removes; d_n_left = nl'; d_n_right = nr' }
     )
 
+let print_graph_and_delta (g, (d : Partition.delta)) =
+  Printf.sprintf "%s set=[%s] remove=[%s] nl'=%d nr'=%d" (print_graph g)
+    (String.concat "; "
+       (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) d.Partition.d_set))
+    (String.concat "; " (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) d.Partition.d_remove))
+    d.Partition.d_n_left d.Partition.d_n_right
+
 let arb_graph_and_delta =
-  QCheck.make gen_graph_and_delta ~print:(fun (g, (d : Partition.delta)) ->
-      Printf.sprintf "nl=%d nr=%d edges=[%s] set=[%s] remove=[%s] nl'=%d nr'=%d"
-        (Bipartite.n_left g) (Bipartite.n_right g)
-        (String.concat "; "
-           (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) (Bipartite.edges g)))
-        (String.concat "; "
-           (List.map (fun (i, j, w) -> Printf.sprintf "(%d,%d,%.2f)" i j w) d.Partition.d_set))
-        (String.concat "; "
-           (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) d.Partition.d_remove))
-        d.Partition.d_n_left d.Partition.d_n_right)
+  QCheck.make (gen_delta_of ~graph:gen_graph ~weight:dyadic_weight) ~print:print_graph_and_delta
+
+let arb_tied_graph_and_delta =
+  QCheck.make (gen_delta_of ~graph:gen_tied_graph ~weight:tied_weight) ~print:print_graph_and_delta
 
 let patched_graph g (d : Partition.delta) =
   Bipartite.create ~n_left:d.d_n_left ~n_right:d.d_n_right
@@ -309,6 +393,15 @@ let prop_apply_delta_equals_rank_domains =
   QCheck.Test.make ~count:60
     ~name:"Partition.apply_delta = rank, Domains executor"
     arb_graph_and_delta
+    (apply_delta_equals_rank ~exec:(Uxsm_exec.Executor.domains 3))
+
+let prop_apply_delta_equals_rank_tied =
+  QCheck.Test.make ~count:300 ~name:"Partition.apply_delta = rank, tie-heavy weights"
+    arb_tied_graph_and_delta apply_delta_equals_rank
+
+let prop_apply_delta_equals_rank_tied_domains =
+  QCheck.Test.make ~count:60 ~name:"Partition.apply_delta = rank, tie-heavy, Domains executor"
+    arb_tied_graph_and_delta
     (apply_delta_equals_rank ~exec:(Uxsm_exec.Executor.domains 3))
 
 let prop_delta_of_graphs_round_trips =
@@ -347,6 +440,7 @@ let suite =
     Alcotest.test_case "partition = murty, crafted edge cases" `Quick
       test_partition_differential_cases;
     q prop_partition_differential;
+    q prop_rank_equals_list_fold;
     Alcotest.test_case "merge top-h" `Quick test_merge_top_h;
     Alcotest.test_case "empty graph" `Quick test_empty_graph;
     Alcotest.test_case "create validation" `Quick test_create_validation;
@@ -361,5 +455,7 @@ let suite =
       test_apply_delta_reuses_untouched_components;
     q prop_apply_delta_equals_rank;
     q prop_apply_delta_equals_rank_domains;
+    q prop_apply_delta_equals_rank_tied;
+    q prop_apply_delta_equals_rank_tied_domains;
     q prop_delta_of_graphs_round_trips;
   ]

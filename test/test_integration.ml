@@ -121,7 +121,24 @@ let test_d7_regression_pins () =
   let ratio = Block_tree.compression_ratio tree in
   Alcotest.(check bool) "compression near 20%" true (ratio > 0.15 && ratio < 0.25);
   let doc = Gen_doc.generate (Mapping_set.source mset) in
-  Alcotest.(check int) "Order.xml node count" 3473 (Uxsm_xml.Doc.size doc)
+  Alcotest.(check int) "Order.xml node count" 3473 (Uxsm_xml.Doc.size doc);
+  (* The served mapping sets, byte for byte. All 200 top D7 scores tie, so
+     these digests pin the merge's tie order, not just its scores. *)
+  List.iter
+    (fun (h, digest) ->
+      let s = Uxsm_mapping.Serialize.mapping_set_to_string (Dataset.mapping_set ~h Dataset.d7) in
+      Alcotest.(check string) (Printf.sprintf "h=%d mapping set digest" h) digest
+        (Digest.to_hex (Digest.string s)))
+    [ (100, "82c04e4630053dd5d410766b7dc2a30e"); (200, "ceb9b98c30dfb1d862b95210e125a427") ]
+
+(* The ranking state a catalog retains per mapping set keeps one score
+   level per component and the per-component lists, never per-step pair
+   lists: those cost about 23 MB on D7 at h=200. *)
+let test_d7_ranked_footprint () =
+  let g = Matching.to_bipartite (Dataset.matching Dataset.d7) in
+  let r = Partition.rank ~h:200 g in
+  let bytes = Obj.reachable_words (Obj.repr r) * (Sys.word_size / 8) in
+  Alcotest.(check bool) (Printf.sprintf "%d bytes < 1 MB" bytes) true (bytes < 1_000_000)
 
 let suite =
   [
@@ -131,4 +148,5 @@ let suite =
     Alcotest.test_case "PTQ pipeline on D4" `Slow test_ptq_pipeline_on_dataset;
     Alcotest.test_case "D7 full stack, ten queries" `Slow test_d7_full_stack;
     Alcotest.test_case "D7 regression pins" `Slow test_d7_regression_pins;
+    Alcotest.test_case "D7 ranked state under 1 MB" `Slow test_d7_ranked_footprint;
   ]
