@@ -36,7 +36,26 @@ val pair_score :
   Uxsm_schema.Schema.t ->
   Uxsm_schema.Schema.element ->
   float
-(** Combined score of one element pair under the configuration. *)
+(** Combined score of one element pair under the configuration: the
+    per-string reference, evaluating {!Name_sim.combined} afresh on every
+    label it compares. *)
+
+val score_matrix :
+  ?exec:Uxsm_exec.Executor.t ->
+  config ->
+  Uxsm_schema.Schema.t ->
+  Uxsm_schema.Schema.t ->
+  float array array
+(** [score_matrix cfg source target] is the raw |S| x |T| score matrix:
+    [.(x).(y)] equals [pair_score cfg source x target y] bit for bit (a
+    tested property). Labels are interned per schema and
+    {!Name_sim.pair_table} scores each distinct (source label, target
+    label) pair once; every element pair is then a fold of lookups over
+    its label, ancestor, child, leaf and parent label ids, in the same
+    order as the reference's folds. [exec] (default [Sequential]) fans
+    out the label rows and then the element rows; the tables are
+    completely filled before either fan-out reads them. Timed by the
+    [matcher.score_matrix] span. *)
 
 val run :
   ?exec:Uxsm_exec.Executor.t ->

@@ -35,3 +35,29 @@ val combined : ?synonyms:synonyms -> string -> string -> float
     similarities — the default name matcher. Token similarity dominates so
     that synonym renamings across standards (DeliverTo / ShipTo) stay close
     to exact-name matches. *)
+
+(** {1 Interned labels} *)
+
+val pair_table :
+  ?exec:Uxsm_exec.Executor.t ->
+  ?synonyms:synonyms ->
+  string array ->
+  string array ->
+  float array array
+(** [pair_table sources targets] is the dense table of
+    [combined ?synonyms sources.(i) targets.(j)] at [.(i).(j)], equal bit
+    for bit. Each label is prepared once (lowercase form, token ids,
+    sorted trigram codes), each (source token, target token) pair is
+    scored once into a token table, and only then are the label rows
+    filled, fanned out over [exec]; nothing is filled lazily, so the
+    tables are safe to read from any domain. Adds
+    [Array.length sources * Array.length targets] to the
+    [matcher.label_pairs] counter. *)
+
+val soft_match : float array array -> int array -> int array -> float
+(** [soft_match table a b] is {!Structure_sim.soft_set_similarity} over
+    ids, with [table.(i).(j)] as the similarity of row id [i] and column
+    id [j] (the ids of [a] index rows, those of [b] columns). The
+    backward direction reads [table] transposed, so it equals the string
+    version only for a symmetric measure such as {!combined}. Folds run
+    in array order, as the list version's do, so sums round alike. *)

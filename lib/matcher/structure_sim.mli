@@ -2,8 +2,10 @@
     COMA++'s structure-level matchers.
 
     Each measure takes the name-similarity function to use on labels
-    ([name_sim]) so that callers can supply a memoized instance (the
-    matcher scores |S|·|T| pairs and labels repeat heavily). *)
+    ([name_sim]). These string versions are the reference that
+    [Coma.pair_score] evaluates; [Coma.score_matrix] computes the same
+    measures over interned label ids and a precomputed label-pair table,
+    folding in the same order. *)
 
 val path_similarity :
   name_sim:(string -> string -> float) ->

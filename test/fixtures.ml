@@ -101,17 +101,13 @@ let fig2_doc_tree =
 let fig2_doc = Uxsm_xml.Doc.of_tree fig2_doc_tree
 
 (* Deterministic random schema generator for property tests: a tree with
-   [n] elements and bounded fanout. *)
-let random_schema prng ~n =
+   [n] elements and bounded fanout. [name prefix] labels each element,
+   with prefix "root" for the root and "e" otherwise. *)
+let grow_schema prng ~n ~name =
   if n < 1 then invalid_arg "random_schema";
-  let next = ref 0 in
-  let fresh prefix =
-    incr next;
-    Printf.sprintf "%s%d" prefix !next
-  in
   let budget = ref (n - 1) in
   let rec grow depth =
-    let name = fresh "e" in
+    let name = name "e" in
     let kids = ref [] in
     let want = Uxsm_util.Prng.int prng 4 in
     for _ = 1 to want do
@@ -123,12 +119,36 @@ let random_schema prng ~n =
     Schema.spec name (List.rev !kids)
   in
   let root_kids = ref [] in
-  let root = fresh "root" in
+  let root = name "root" in
   while !budget > 0 do
     decr budget;
     root_kids := grow 1 :: !root_kids
   done;
   Schema.of_spec (Schema.spec root (List.rev !root_kids))
+
+(* Distinct labels: "root1", "e2", "e3", ... *)
+let random_schema prng ~n =
+  let next = ref 0 in
+  grow_schema prng ~n ~name:(fun prefix ->
+      incr next;
+      Printf.sprintf "%s%d" prefix !next)
+
+(* Label parts that stress the name measures: camelCase and acronym humps
+   (POLine, BuyerPartID), digits, single letters, synonym pairs
+   (Buyer/Customer, Qty/Quantity, Ship/Deliver) and case variants that
+   are equal once lowercased. *)
+let label_parts =
+  [| "Order"; "order"; "ORDER"; "PO"; "POLine"; "Line"; "LineNo"; "Item"; "Item2"; "Buyer";
+     "Customer"; "BuyerPartID"; "Qty"; "Quantity"; "Ship"; "Deliver"; "To"; "EMail"; "e"; "X";
+     "Address1"; "Street"; "Road"; "UnitPrice"; "Cost"; "Id"; "ID"; "No"; "Number"; "zip" |]
+
+(* One to three parts, joined directly or by '_' or '-'. Small schemas
+   drawing from this pool repeat labels often. *)
+let random_label prng =
+  let parts = List.init (1 + Uxsm_util.Prng.int prng 3) (fun _ -> Uxsm_util.Prng.pick prng label_parts) in
+  String.concat (Uxsm_util.Prng.pick prng [| ""; ""; "_"; "-" |]) parts
+
+let random_labeled_schema prng ~n = grow_schema prng ~n ~name:(fun _ -> random_label prng)
 
 (* Random matching over random schemas: distinct correspondences with
    scores in (0, 1]. *)

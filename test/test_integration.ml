@@ -131,6 +131,27 @@ let test_d7_regression_pins () =
         (Digest.to_hex (Digest.string s)))
     [ (100, "82c04e4630053dd5d410766b7dc2a30e"); (200, "ceb9b98c30dfb1d862b95210e125a427") ]
 
+(* The matcher's output for every Table II dataset, byte for byte.
+   D1/D3/D5 run the Fragment strategy, the rest Context. *)
+let test_matching_digests () =
+  List.iter
+    (fun (id, digest) ->
+      let d = Option.get (Dataset.find id) in
+      let s = Uxsm_mapping.Serialize.matching_to_string (Dataset.matching d) in
+      Alcotest.(check string) (id ^ " matching digest") digest (Digest.to_hex (Digest.string s)))
+    [
+      ("D1", "3a0bb23b532756609c06867df9467711");
+      ("D2", "79e6466505c023311ff500d7fadfe614");
+      ("D3", "2e4f1cdd4a81cf0c5645c9499034942f");
+      ("D4", "a748c31c1ab731dc1d6bb6c015ecfc2b");
+      ("D5", "c8da5f885b2d63938bd04572f705eab6");
+      ("D6", "684458c61b258727652050c79e600bed");
+      ("D7", "4d7ec1d6d4ccf144e233d5eaa820a5e5");
+      ("D8", "77913d186a2631740c2ecf92d7789d75");
+      ("D9", "c8ab59df4b16f799ad0d4ebe3846789d");
+      ("D10", "450af7235af2d743a42d0f2759ef7bed");
+    ]
+
 (* The ranking state a catalog retains per mapping set keeps one score
    level per component and the per-component lists, never per-step pair
    lists: those cost about 23 MB on D7 at h=200. *)
@@ -149,4 +170,5 @@ let suite =
     Alcotest.test_case "D7 full stack, ten queries" `Slow test_d7_full_stack;
     Alcotest.test_case "D7 regression pins" `Slow test_d7_regression_pins;
     Alcotest.test_case "D7 ranked state under 1 MB" `Slow test_d7_ranked_footprint;
+    Alcotest.test_case "D1-D10 matching digests" `Slow test_matching_digests;
   ]

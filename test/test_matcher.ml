@@ -6,6 +6,9 @@ module Structure_sim = Uxsm_matcher.Structure_sim
 module Coma = Uxsm_matcher.Coma
 module Schema = Uxsm_schema.Schema
 module Matching = Uxsm_mapping.Matching
+module Executor = Uxsm_exec.Executor
+module Obs = Uxsm_obs.Obs
+module Prng = Uxsm_util.Prng
 
 let test_tokenize () =
   let check name expect = Alcotest.(check (list string)) name expect (Name_sim.tokenize name) in
@@ -167,7 +170,131 @@ let test_mediate_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty source list should fail"
 
+(* ---------------- interned scoring = per-string reference ---------------- *)
+
+let bits_equal a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Textbook full-matrix edit distance. *)
+let naive_levenshtein a b =
+  let la = String.length a and lb = String.length b in
+  let d = Array.make_matrix (la + 1) (lb + 1) 0 in
+  for i = 0 to la do
+    d.(i).(0) <- i
+  done;
+  for j = 0 to lb do
+    d.(0).(j) <- j
+  done;
+  for i = 1 to la do
+    for j = 1 to lb do
+      let sub = if Char.equal a.[i - 1] b.[j - 1] then 0 else 1 in
+      d.(i).(j) <- Int.min (Int.min (d.(i - 1).(j) + 1) (d.(i).(j - 1) + 1)) (d.(i - 1).(j - 1) + sub)
+    done
+  done;
+  d.(la).(lb)
+
+(* Dice coefficient over string-keyed padded trigram sets. *)
+let naive_trigram a b =
+  let grams s =
+    let s = "##" ^ String.lowercase_ascii s ^ "##" in
+    List.sort_uniq String.compare (List.init (String.length s - 2) (fun i -> String.sub s i 3))
+  in
+  if a = "" && b = "" then 1.0
+  else begin
+    let ga = grams a and gb = grams b in
+    let inter = List.length (List.filter (fun g -> List.mem g gb) ga) in
+    2.0 *. float_of_int inter /. float_of_int (List.length ga + List.length gb)
+  end
+
+let short_string = QCheck.(string_gen_of_size (Gen.int_bound 9) (Gen.oneofl [ 'a'; 'b'; 'c'; 'A'; 'B'; '1'; '_' ]))
+
+let prop_levenshtein_naive =
+  QCheck.Test.make ~count:500 ~name:"levenshtein = full-matrix reference"
+    (QCheck.pair short_string short_string) (fun (a, b) ->
+      Name_sim.levenshtein a b = naive_levenshtein a b)
+
+let prop_trigram_naive =
+  QCheck.Test.make ~count:500 ~name:"trigram similarity = string-set reference"
+    (QCheck.pair short_string short_string) (fun (a, b) ->
+      bits_equal (Name_sim.trigram_similarity a b) (naive_trigram a b))
+
+let label_pair = QCheck.(pair (int_range 1 1000000) (int_range 1 1000000))
+
+let prop_combined_symmetric =
+  QCheck.Test.make ~count:500 ~name:"combined a b = combined b a, bit for bit" label_pair
+    (fun (s1, s2) ->
+      let a = Fixtures.random_label (Prng.create s1) and b = Fixtures.random_label (Prng.create s2) in
+      let syn = Name_sim.synonyms () in
+      bits_equal (Name_sim.combined a b) (Name_sim.combined b a)
+      && bits_equal (Name_sim.combined ~synonyms:syn a b) (Name_sim.combined ~synonyms:syn b a))
+
+let prop_pair_table_eq_combined =
+  QCheck.Test.make ~count:50 ~name:"pair_table = combined, bit for bit"
+    QCheck.(triple (int_range 1 1000000) (int_range 0 12) (int_range 0 12))
+    (fun (seed, na, nb) ->
+      let prng = Prng.create seed in
+      (* "" exercises the empty-label branches of every measure. *)
+      let labels n = Array.init n (fun i -> if i = 0 then "" else Fixtures.random_label prng) in
+      let a = labels na and b = labels nb in
+      let synonyms = Name_sim.synonyms () in
+      let table = Name_sim.pair_table ~synonyms a b in
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun i row ->
+             Array.for_all Fun.id
+               (Array.mapi (fun j v -> bits_equal v (Name_sim.combined ~synonyms a.(i) b.(j))) row))
+           table))
+
+let par = Executor.domains 2
+
+(* The reference matrix is computed once per strategy (it dominates the
+   cost) and compared with every backend's. *)
+let matrix_matches_pair_score execs strategy source target =
+  let cfg = Coma.default_config strategy in
+  let reference =
+    Array.init (Schema.size source) (fun x ->
+        Array.init (Schema.size target) (fun y -> Coma.pair_score cfg source x target y))
+  in
+  let same a b = Array.length a = Array.length b && Array.for_all2 bits_equal a b in
+  List.for_all
+    (fun exec ->
+      let m = Coma.score_matrix ~exec cfg source target in
+      Array.length m = Array.length reference && Array.for_all2 same m reference)
+    execs
+
+let prop_score_matrix_eq_pair_score =
+  QCheck.Test.make ~count:30 ~name:"score_matrix = pair_score, bit for bit (both strategies, both backends)"
+    QCheck.(triple (int_range 1 1000000) (int_range 1 20) (int_range 1 20))
+    (fun (seed, ns, nt) ->
+      let prng = Prng.create seed in
+      let source = Fixtures.random_labeled_schema prng ~n:ns in
+      let target = Fixtures.random_labeled_schema prng ~n:nt in
+      List.for_all
+        (fun strategy -> matrix_matches_pair_score [ Executor.sequential; par ] strategy source target)
+        [ Coma.Context; Coma.Fragment ])
+
+let test_fig1_matrix () =
+  let s = Fixtures.fig1_source and t = Fixtures.fig1_target in
+  List.iter
+    (fun (name, strategy) ->
+      Alcotest.(check bool) name true (matrix_matches_pair_score [ Executor.sequential ] strategy s t))
+    [ ("context", Coma.Context); ("fragment", Coma.Fragment) ]
+
+(* Each distinct (source label, target label) pair of D7 is scored
+   exactly once: 965 x 131, not once per element pair (1076 x 166). A
+   slide back to per-element evaluation shows here, deterministically. *)
+let test_d7_label_pairs () =
+  let d = Uxsm_workload.Dataset.d7 in
+  let source = Uxsm_workload.Standards.generate d.source in
+  let target = Uxsm_workload.Standards.generate d.target in
+  let pairs = Obs.counter "matcher.label_pairs" and span = Obs.span "matcher.score_matrix" in
+  let p0 = Obs.value pairs and n0 = Obs.span_count span in
+  let m = Coma.score_matrix (Coma.default_config d.strategy) source target in
+  Alcotest.(check (pair int int)) "element pairs" (1076, 166) (Array.length m, Array.length m.(0));
+  Alcotest.(check int) "label pairs" (965 * 131) (Obs.value pairs - p0);
+  Alcotest.(check int) "one score_matrix span" 1 (Obs.span_count span - n0)
+
 let suite =
+  let q = QCheck_alcotest.to_alcotest in
   [
     Alcotest.test_case "tokenize" `Quick test_tokenize;
     Alcotest.test_case "levenshtein" `Quick test_levenshtein;
@@ -180,4 +307,11 @@ let suite =
     Alcotest.test_case "both-direction delta selection" `Quick test_both_direction_selection;
     Alcotest.test_case "mediated schema bootstrap" `Slow test_mediate;
     Alcotest.test_case "mediate validation" `Quick test_mediate_validation;
+    q prop_levenshtein_naive;
+    q prop_trigram_naive;
+    q prop_combined_symmetric;
+    q prop_pair_table_eq_combined;
+    q prop_score_matrix_eq_pair_score;
+    Alcotest.test_case "score_matrix = pair_score on Figure 1" `Quick test_fig1_matrix;
+    Alcotest.test_case "D7 scores each label pair once" `Quick test_d7_label_pairs;
   ]
